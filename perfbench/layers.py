@@ -18,7 +18,7 @@ import statistics
 import time
 
 from repro.obs import Telemetry
-from repro.obs.traceexport import write_chrome_trace
+from repro.obs.traceexport import chrome_trace, write_chrome_trace
 from repro.service import QuoteCache, QuoteService
 
 import paths as P
@@ -120,51 +120,46 @@ def _result_facts(w, before: dict | None) -> dict:
     }
 
 
-def _span_times(rec: spans.SpanRecorder, scale: float) -> dict:
-    """Span counts and (calibrated) times of one traced unit."""
-    agg = rec.aggregate()
+def _span_times(bd: dict, rounds: int, scale: float) -> dict:
+    """Span counts and (calibrated) times of one traced unit, from its
+    :meth:`spans.Recorder.breakdown`."""
 
-    def get(name, field):             # field 0=count 1=total 2=self
-        return agg.get(("op", name), (0, 0.0, 0.0))[field]
+    def get(name, field):
+        return bd.get(name, {}).get(field, 0)
 
     ms, us = 1e3 * scale, 1e6 * scale
-    wall = get("op", 1)
-    advance = get("fftstencil.advance", 1)
+    wall = get("op", "total_s")
+    advance = get("fftstencil.advance", "total_s")
     return {
-        "fftstencil.advance_calls": get("fftstencil.advance", 0),
-        "lockstep.rounds": rec.counters[("op", "lockstep.rounds")],
-        "spectral.calls": get("spectral.price_spec", 0),
-        "tree_solver.self_ms": get("tree_solver", 2) * ms,
-        "bsm_solver.self_ms": get("bsm_solver", 2) * ms,
+        "fftstencil.advance_calls": get("fftstencil.advance", "count"),
+        "lockstep.rounds": rounds,
+        "spectral.calls": get("spectral.price_spec", "count"),
+        "tree_solver.self_ms": get("tree_solver", "self_s") * ms,
+        "bsm_solver.self_ms": get("bsm_solver", "self_s") * ms,
         "fftstencil.advance_ms": advance * ms,
         "fftstencil.fft_share": _ratio(advance, wall),
-        "fftstencil.advance_batch_ms": get("fftstencil.advance_batch", 1) * ms,
+        "fftstencil.advance_batch_ms": get("fftstencil.advance_batch", "total_s") * ms,
         "fftstencil.base_rows_batch_ms":
-            get("fftstencil.base_rows_batch", 1) * ms,
-        "lockstep.self_ms": get("lockstep", 2) * ms,
-        "risk.dispatch_ms": get("risk.price_grid", 2) * ms,
-        "spectral.price_ms": get("spectral.price_spec", 1) * ms,
-        "op.self_ms": get("op", 2) * ms,
-        "service.canonicalize_us":
-            _ratio(get("service.canonicalize", 1), get("service.canonicalize", 0)) * us,
-        "service.cache_get_us":
-            _ratio(get("service.cache_get", 1), get("service.cache_get", 0)) * us,
-        "service.bucket_solve_ms": get("service.bucket_solve", 1) * ms,
-        "service.flush_ms": get("service.flush", 1) * ms,
+            get("fftstencil.base_rows_batch", "total_s") * ms,
+        "lockstep.self_ms": get("lockstep", "self_s") * ms,
+        "risk.dispatch_ms": get("risk.price_grid", "self_s") * ms,
+        "spectral.price_ms": get("spectral.price_spec", "total_s") * ms,
+        "op.self_ms": get("op", "self_s") * ms,
+        "service.canonicalize_us": us * _ratio(
+            get("service.canonicalize", "total_s"), get("service.canonicalize", "count")),
+        "service.cache_get_us": us * _ratio(
+            get("service.cache_get", "total_s"), get("service.cache_get", "count")),
+        "service.bucket_solve_ms": get("service.bucket_solve", "total_s") * ms,
+        "service.flush_ms": get("service.flush", "total_s") * ms,
     }
 
 
-def _self_time_problems(rec: spans.SpanRecorder) -> list[str]:
-    """Self times are non-negative and, per op, add up to at most its wall."""
-    problems = []
-    total_self = 0.0
-    for (root, name), (_, _, self_s) in rec.aggregate().items():
-        if self_s < -1e-9:
-            problems.append(f"negative self time for {name}")
-        total_self += self_s
-    walls = sum(s[spans.END] - s[spans.START] for s in rec.spans
-                if s[spans.PARENT] < 0)
-    if total_self > walls * (1 + 1e-9) + 1e-9:
+def _self_time_problems(bd: dict) -> list[str]:
+    """Self times are non-negative and add up to at most the ops' wall."""
+    problems = [f"negative self time for {name}"
+                for name, a in bd.items() if a["self_s"] < -1e-9]
+    wall = bd.get("op", {}).get("total_s", 0.0)
+    if sum(a["self_s"] for a in bd.values()) > wall * (1 + 1e-9) + 1e-9:
         problems.append("self times exceed the traced ops' wall time")
     return problems
 
@@ -203,8 +198,8 @@ def traced_run(w: P.Workload, args, out_dir: str):
     # stream four 64-request ops, i.e. 256 quotes and one flush.
     ops = P.FLUSH_EVERY // P.QUOTE_BLOCK if isinstance(w, P.QuoteStream) else 1
     spectral = P.get_backend("spectral")
-    probe = getattr(w, "probe", None)
-    recorder = spans.SpanRecorder()
+    probe = w.probe
+    recorder = spans.Recorder()
     units: list[dict] = []
     overhead: list[float] = []
     calib: list[float] = []
@@ -223,17 +218,25 @@ def traced_run(w: P.Workload, args, out_dir: str):
             w.items.clear()
         if probe is not None:
             plain_probe = timed(probe)[1]
-        recorder.clear()
+        recorder.reset()
         before = _service_counters(w.service) if isinstance(w, P.QuoteStream) else None
         misses0 = spectral.cache_info()["misses"]
         with spans.installed(recorder):
             traced = [timed(lambda: recorder.call("op", w.op))[1] for _ in range(ops)]
             facts = _result_facts(w, before)
+            # the ops' spans only: read before the probe adds its own
+            bd = recorder.breakdown()
+            if not units:
+                os.makedirs(out_dir, exist_ok=True)
+                write_chrome_trace(
+                    os.path.join(out_dir, f"trace-{args.workload}-seed{args.seed}.json"),
+                    chrome_trace(recorder.tracer, process_name=f"perfbench {w.name}"),
+                )
             if probe is not None:
                 traced_probe = timed(lambda: recorder.call("probe", probe))[1]
         w.items.clear()
         scale = CALIB_REF_MS / statistics.median(s.calib_ms for s in traced)
-        unit = _span_times(recorder, scale)
+        unit = _span_times(bd, recorder.rounds, scale)
         op_self_ms = unit.pop("op.self_ms")
         if isinstance(w, P.Ladder):
             # the ladder's own root-finding work, outside its lattice solves
@@ -245,13 +248,7 @@ def traced_run(w: P.Workload, args, out_dir: str):
             unit["risk.pool_overhead_ms"] = (s.cal_s - plain[0].cal_s) * 1e3
             unit["risk.n_chunks"] = pooled.last.meta["n_chunks"]
         units.append(unit)
-        problems += _self_time_problems(recorder)
-        if len(units) == 1:
-            os.makedirs(out_dir, exist_ok=True)
-            write_chrome_trace(
-                os.path.join(out_dir, f"trace-{args.workload}-seed{args.seed}.json"),
-                recorder.chrome_trace(),
-            )
+        problems += _self_time_problems(bd)
         if probe is None:
             overhead.append(sum(s.cal_s for s in traced) / sum(s.cal_s for s in plain) - 1)
         else:
@@ -260,7 +257,7 @@ def traced_run(w: P.Workload, args, out_dir: str):
         calib += [s.calib_ms for s in plain + traced]
         if time.perf_counter() > t_end:
             break
-    recorder.clear()
+    recorder.reset()
 
     metrics = dict.fromkeys(UNITS, 0.0)
     for name in units[0]:

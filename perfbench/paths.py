@@ -44,9 +44,18 @@ FAST_SHARE = 0.1
 CACHE_SIZE = 256
 FLUSH_EVERY = 256
 QUOTE_BLOCK = 64            # quotes per timed op; 4 blocks per flush
-PRIME_QUOTES = 256          # stream prefix replayed during set-up
+PRIME_QUOTES = 1024         # stream prefix replayed during set-up
 GRID_CELLS = 128
 LADDER_STRIKES = 12
+#: Jittered §5 contracts a solve workload cycles through.  Odd, so the
+#: verify sample (every 2^k-th op) meets several of them.
+SOLVE_SPECS = 7
+#: Ops (or, on the quote stream, quotes of each tier) kept for verify.
+KEEP = 4
+#: Steps of the lattice solve the spectral tier is checked against: the
+#: spectral tolerance is stated against the converged lattice, and a
+#: lattice's own error (O(1/T), ~4e-3 at 256 steps) must stay well below it.
+REF_STEPS = 2**13
 #: fft vs loop price agreement at the same T (observed ~3e-13).
 LOOP_RTOL = 1e-9
 #: Served exact quotes against an unfolded solve.  The service prices the
@@ -65,7 +74,7 @@ class Inputs:
     book: list           # 512-contract quote book
     stream: np.ndarray   # book index per request, Zipf over a seeded ranking
     fast: np.ndarray     # request asks for tier="fast"
-    head: list           # the 64 most popular contracts (always cached)
+    head: list           # the 64 most popular contracts
     grid: list           # 128 heterogeneous American calls
     ladder: list         # 12-strike smile of dividend-paying calls
 
@@ -96,10 +105,10 @@ def make_inputs(seed: int) -> Inputs:
             volatility=spec.volatility * (1.0 + rng.uniform(-0.05, 0.05)),
         )
 
-    paper = [jitter(base) for _ in range(8)]
+    paper = [jitter(base) for _ in range(SOLVE_SPECS)]
     puts = [
         dataclasses.replace(jitter(base), right=Right.PUT, dividend_yield=0.0)
-        for _ in range(8)
+        for _ in range(SOLVE_SPECS)
     ]
 
     spot = base.spot * (1.0 + rng.uniform(-0.02, 0.02))
@@ -156,28 +165,56 @@ def _tol_rel(a: float, b: float, strike: float) -> float:
     return abs(a - b) / max(abs(b), 0.01 * strike)
 
 
+class SpreadSample:
+    """A bounded sample spread evenly over a stream of unknown length.
+
+    Every ``stride``-th item offered is kept; when more than ``KEEP`` are
+    kept, every other one is dropped and the stride doubles.  At the end
+    the sample covers the whole stream, first item included."""
+
+    def __init__(self):
+        self.items: list = []
+        self.stride = 1
+        self.offered = 0
+
+    def offer(self, item) -> None:
+        if self.offered % self.stride == 0:
+            self.items.append(item)
+            if len(self.items) > KEEP:
+                del self.items[1::2]
+                self.stride *= 2
+        self.offered += 1
+
+
 class Workload:
     """One kind of timed op.  ``op()`` runs it once and returns the work
-    units it completed; ``first`` keeps the first op's input and result
-    for :meth:`verify`."""
+    units it completed.  A sample of the ops, spread over the run, is kept
+    as ``(op index, input, output)`` for :meth:`checks`."""
 
     name = ""
+    #: a block of repeated work timed after each op, when the op itself
+    #: is not what ``op_p50_ms`` measures
+    probe = None
 
     def __init__(self, inputs: Inputs):
         self.inp = inputs
         self.n = 0               # ops run so far
-        self.first = None        # (op input, result) of the first op
+        self.kept = SpreadSample()
         #: per-item latencies (s) when an op is several user requests
         self.items: list = []
-        #: ops that raised, and outputs found wrong
+        #: ops that raised
         self.errors: list[str] = []
 
     def setup(self) -> None:
         """Build the op's state and warm it up untimed."""
         self.warm()
         self.n = 0
-        self.first = None
+        self.kept = SpreadSample()
         self.items.clear()
+
+    def instrument(self) -> None:
+        """Build what the benchmark needs to take its own measurements;
+        not part of the set-up a user would see."""
 
     def warm(self) -> None:
         self.op()
@@ -185,12 +222,13 @@ class Workload:
     def op(self) -> int:
         raise NotImplementedError
 
-    def verify(self, check) -> None:
-        raise NotImplementedError
+    def sampled(self) -> list:
+        """The kept ``(op index, input, output)`` triples."""
+        return self.kept.items
 
-    def _keep(self, value) -> None:
-        if self.first is None:
-            self.first = value
+    def checks(self, inp, out):
+        """Yield ``(ok, what)`` for one kept op."""
+        raise NotImplementedError
 
 
 class Solve(Workload):
@@ -203,53 +241,63 @@ class Solve(Workload):
         self.specs = inputs.puts if model == "bsm-fd" else inputs.paper
         self.engine: AdvanceEngine | None = None
         self.loop_ms: float | None = None
+        self.refs: dict = {}     # spec index -> reference price
 
     def op(self) -> int:
-        spec = self.specs[self.n % len(self.specs)]
-        self.n += 1
+        i = self.n % len(self.specs)
         self.engine = AdvanceEngine()
         res = self.last = price_american(
-            spec, self.steps, model=self.model, engine=self.engine
+            self.specs[i], self.steps, model=self.model, engine=self.engine
         )
-        self._keep((spec, res))
+        self.kept.offer((self.n, i, res.price))
+        self.n += 1
         return 1
 
     def warm(self) -> None:
         price_american(self.specs[0], min(self.steps, T14), model=self.model)
 
-    def verify(self, check) -> None:
-        if self.first is None:
-            return
-        spec, res = self.first
+    def _reference(self, i: int) -> float:
+        if i not in self.refs:
+            spec = self.specs[i]
+            if self.steps > T14:
+                # the loop is Θ(T²): past 2^14 the spectral tier is the oracle
+                ref = get_backend("spectral").price_spec(spec, self.steps,
+                                                         model=self.model)
+            else:
+                ref, s = timed(lambda: price_american(
+                    spec, self.steps, model=self.model, method="loop"))
+                if (self.loop_ms is None and self.steps == T12
+                        and self.model == "binomial"):
+                    #: the paper's loop baseline at this size (Figure 5)
+                    self.loop_ms = s.cal_s * 1e3
+            self.refs[i] = ref.price
+        return self.refs[i]
+
+    def checks(self, i, price):
+        spec, ref = self.specs[i], self._reference(i)
         if self.steps > T14:
-            # the loop is Θ(T²): past 2^14 the spectral tier is the oracle
-            spectral = get_backend("spectral")
-            ref = spectral.price_spec(spec, self.steps, model=self.model)
-            check(_tol_rel(res.price, ref.price, spec.strike) <= spectral.tolerance,
-                  f"{self.name}: lattice vs spectral within its tolerance")
-            return
-        ref, s = timed(lambda: price_american(
-            spec, self.steps, model=self.model, method="loop"))
-        if self.steps == T12 and self.model == "binomial":
-            #: the paper's loop baseline at this size (Figure 5)
-            self.loop_ms = s.cal_s * 1e3
-        check(_rel(res.price, ref.price) <= LOOP_RTOL,
-              f"{self.name}: fft vs loop at the same T")
+            tol = get_backend("spectral").tolerance
+            yield (_tol_rel(price, ref, spec.strike) <= tol,
+                   f"{self.name}: lattice vs spectral within its tolerance")
+        else:
+            yield (_rel(price, ref) <= LOOP_RTOL,
+                   f"{self.name}: fft vs loop at the same T")
 
 
 class QuoteStream(Workload):
     """One closed-loop client: the next quote is sent when the last one
     returns.  Zipf(1.2) over a 512-contract book, 10% ``tier="fast"``,
-    ``flush()`` every 256 quotes; ``Telemetry()`` on, as deployed."""
+    ``flush()`` every 256 quotes; ``Telemetry()`` on, as deployed.
+
+    Served quotes are sampled per tier across the run.  The hit path is
+    probed on a twin service with its own cache, so the stream's cache
+    sees the stream's requests only."""
 
     name = "quote_stream"
 
     def setup(self) -> None:
         inp = self.inp
-        self.tel = Telemetry()
-        self.service = QuoteService(cache_size=CACHE_SIZE, telemetry=self.tel)
-        self.pos = 0
-        self.served: list = []
+        self.service = QuoteService(cache_size=CACHE_SIZE, telemetry=Telemetry())
         # the stream's first requests, coalesced, so timing starts warm
         for i in range(PRIME_QUOTES):
             spec = inp.book[inp.stream[i]]
@@ -260,8 +308,17 @@ class QuoteStream(Workload):
         self.service.flush()
         self.pos = PRIME_QUOTES
         super().setup()
+        self.by_tier = {"exact": SpreadSample(), "fast": SpreadSample()}
 
     def warm(self) -> None:
+        """The replayed prefix is the warm-up."""
+
+    def instrument(self) -> None:
+        # the twin holds the 64 most popular contracts, all resident
+        self.twin = QuoteService(cache_size=CACHE_SIZE, telemetry=Telemetry())
+        for spec in self.inp.head:
+            self.twin.submit(spec, QUOTE_STEPS)
+        self.twin.flush()
         self.probe()
 
     def op(self) -> int:
@@ -274,35 +331,36 @@ class QuoteStream(Workload):
             t0 = time.perf_counter()
             out = svc.quote(spec, QUOTE_STEPS, tier=tier)
             lat.append(time.perf_counter() - t0)
-            if i % 61 == 0 and len(self.served) < 8:
-                self.served.append(
-                    (spec, tier, out.price, out.meta.get("tolerance", 0.0))
-                )
+            self.by_tier[tier].offer((self.n, (spec, tier), out))
             if self.pos % FLUSH_EVERY == 0:
                 svc.flush()
         self.n += 1
         return QUOTE_BLOCK
 
     def probe(self) -> int:
-        """The hit path: four passes over the 64 most popular contracts, all
-        resident, timed as a block (a hit is too short to time alone)."""
+        """The hit path: four passes over the twin's 64 resident contracts,
+        timed as a block (a hit is too short to time alone)."""
         for _ in range(4):
             for spec in self.inp.head:
-                self.service.quote(spec, QUOTE_STEPS)
+                self.twin.quote(spec, QUOTE_STEPS)
         return 4 * len(self.inp.head)
 
-    def verify(self, check) -> None:
-        for spec, tier, price, tol in self.served:
-            direct = price_american(spec, QUOTE_STEPS).price
-            if tier == "exact":
-                req = canonicalize(spec, QUOTE_STEPS)
-                folded = price_american(req.spec, QUOTE_STEPS).price * req.scale
-                check(price == folded, "exact quote bit-identical to the folded solve")
-                check(_tol_rel(price, direct, spec.strike) <= CANONICAL_RTOL,
-                      "exact quote vs direct solve")
-            else:
-                check(_tol_rel(price, direct, spec.strike) <= tol,
-                      "fast quote within its stated tolerance")
+    def sampled(self) -> list:
+        return self.by_tier["exact"].items + self.by_tier["fast"].items
+
+    def checks(self, inp, out):
+        spec, tier = inp
+        if tier == "fast":
+            ref = price_american(spec, REF_STEPS).price
+            yield (_tol_rel(out.price, ref, spec.strike) <= out.meta["tolerance"],
+                   "fast quote within its stated tolerance of a 2^13-step solve")
+            return
+        req = canonicalize(spec, QUOTE_STEPS)
+        folded = price_american(req.spec, QUOTE_STEPS).price * req.scale
+        yield out.price == folded, "exact quote bit-identical to the folded solve"
+        direct = price_american(spec, QUOTE_STEPS).price
+        yield (_tol_rel(out.price, direct, spec.strike) <= CANONICAL_RTOL,
+               "exact quote vs direct solve")
 
 
 class Grid(Workload):
@@ -318,6 +376,7 @@ class Grid(Workload):
         self.grid = ScenarioGrid.explicit(inputs.grid)
         if pricer is not None:
             self.grid = self.grid.with_backends(pricer)
+        self.refs = None
 
     def warm(self) -> None:
         # The spectral backend caches one plan per (rate, vol, expiry): warm
@@ -328,32 +387,38 @@ class Grid(Workload):
 
     def op(self) -> int:
         res = self.last = self.engine.price_grid(self.grid, GRID_STEPS)
+        self.kept.offer((self.n, None, res.prices))
         self.n += 1
-        self._keep((None, res))
         return GRID_CELLS
 
-    def verify(self, check) -> None:
-        if self.first is None:
-            return
-        prices = self.first[1].prices
-        if self.name == "grid_spectral":
-            # The spectral tolerance is stated against the converged
-            # lattice; at 256 steps the lattice's own discretisation error
-            # (~4e-3 on this grid) exceeds it, so sampled cells are
-            # checked against 2^13-step solves.
+    def _references(self):
+        if self.refs is None:
+            if self.pricer == "spectral":
+                # at 256 steps the lattice's own error (~4e-3 on this grid)
+                # exceeds the spectral tolerance
+                self.refs = {i: price_american(self.inp.grid[i], REF_STEPS).price
+                             for i in (3, 40, 80, 120)}
+            else:
+                pooled = ScenarioEngine(workers=2, backend="process")
+                self.refs = (
+                    pooled.price_grid(self.grid, GRID_STEPS).prices,
+                    {i: price_american(self.inp.grid[i], GRID_STEPS).price
+                     for i in (0, 63, 127)},
+                )
+        return self.refs
+
+    def checks(self, _, prices):
+        if self.pricer == "spectral":
             tol = get_backend("spectral").tolerance
-            for i in (3, 40, 80, 120):
-                spec = self.inp.grid[i]
-                ref = price_american(spec, 2**13).price
-                check(_tol_rel(prices[i], ref, spec.strike) <= tol,
-                      f"spectral grid cell {i} within tolerance")
+            for i, ref in self._references().items():
+                yield (_tol_rel(prices[i], ref, self.inp.grid[i].strike) <= tol,
+                       f"spectral grid cell {i} within tolerance")
             return
-        pooled = ScenarioEngine(workers=2, backend="process")
-        check(np.array_equal(prices, pooled.price_grid(self.grid, GRID_STEPS).prices),
-              "grid on a 2-process pool bit-identical to the serial grid")
-        for i in (0, 63, 127):
-            one = price_american(self.inp.grid[i], GRID_STEPS).price
-            check(one == prices[i], f"grid cell {i} bit-identical to a single solve")
+        pooled, singles = self._references()
+        yield (np.array_equal(prices, pooled),
+               "grid on a 2-process pool bit-identical to the serial grid")
+        for i, one in singles.items():
+            yield one == prices[i], f"grid cell {i} bit-identical to a single solve"
 
 
 class Ladder(Workload):
@@ -366,6 +431,7 @@ class Ladder(Workload):
     def setup(self) -> None:
         self.quotes = [r.price for r in price_many(self.inp.ladder, LADDER_STEPS)]
         self.engine: AdvanceEngine | None = None
+        self.repriced: dict = {}   # (strike index, vol) -> price
         super().setup()
 
     def warm(self) -> None:
@@ -376,20 +442,19 @@ class Ladder(Workload):
         rep = self.last = implied_vol_many(
             self.inp.ladder, self.quotes, LADDER_STEPS, engine=self.engine
         )
+        self.kept.offer((self.n, None, rep))
         self.n += 1
-        self._keep((None, rep))
         return LADDER_STRIKES
 
-    def verify(self, check) -> None:
-        if self.first is None:
-            return
-        rep = self.first[1]
-        for spec, quote, r in zip(self.inp.ladder, self.quotes, rep.results):
-            price = price_american(
-                dataclasses.replace(spec, volatility=r.vol), LADDER_STEPS
-            ).price
-            check(abs(price - quote) <= IV_RESIDUAL * spec.strike,
-                  "implied vol reprices its quote")
+    def checks(self, _, rep):
+        for i, (spec, quote, r) in enumerate(
+                zip(self.inp.ladder, self.quotes, rep.results)):
+            if (i, r.vol) not in self.repriced:
+                self.repriced[i, r.vol] = price_american(
+                    dataclasses.replace(spec, volatility=r.vol), LADDER_STEPS
+                ).price
+            yield (abs(self.repriced[i, r.vol] - quote) <= IV_RESIDUAL * spec.strike,
+                   f"implied vol at strike {spec.strike} reprices its quote")
 
 
 #: workload name -> factory; BENCHMARK.json says why each is here

@@ -2,11 +2,12 @@
 
     python3 perfbench/run.py --workload solve_t16 --seed 1 --seconds 10 --trace 0
 
-Run from the repository root.  It imports ``repro`` from ``src/``, sets
-the workload up several times (the median is ``setup_s``), times its op
-back to back for ``--seconds``, checks the outputs in an untimed verify
-phase, prints every metric by name with its unit and sample count plus
-the host facts, and ends with one JSON line::
+Run from the repository root.  It imports ``repro`` from ``src/``, times
+the import and the workload's set-up several times each (the medians make
+``setup_s``), times its op back to back for ``--seconds``, checks a
+sample of the ops' outputs in an untimed verify phase, prints every
+metric by name with its unit and sample count plus the host facts, and
+ends with one JSON line::
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
@@ -27,6 +28,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ[_var] = "1"
 
 import argparse
+import importlib
 import json
 import platform
 import statistics
@@ -35,7 +37,8 @@ import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
-SETUP_REPEATS = 3
+SRC = os.path.join(ROOT, "src")
+SETUP_REPEATS = 5
 
 
 def _parse(argv):
@@ -47,14 +50,37 @@ def _parse(argv):
     return p.parse_args(argv)
 
 
-def _load_library() -> None:
-    """Import the program from this checkout's ``src/``."""
-    src = os.path.join(ROOT, "src")
-    if not os.path.isfile(os.path.join(src, "repro", "__init__.py")):
-        sys.stderr.write(f"perfbench: no repro package under {src}\n")
+def _load_library() -> float:
+    """Import the program from this checkout's ``src/``; returns the
+    import's wall seconds."""
+    if not os.path.isfile(os.path.join(SRC, "repro", "__init__.py")):
+        sys.stderr.write(f"perfbench: no repro package under {SRC}\n")
         sys.exit(2)
-    sys.path[:0] = [src, HERE]
+    sys.path[:0] = [SRC, HERE]
+    t0 = time.perf_counter()
     import repro  # noqa: F401
+    return time.perf_counter() - t0
+
+
+def _reimport() -> None:
+    """Import the library's own modules afresh; the modules it imports
+    from other packages stay loaded.  Runs before anything else holds a
+    reference into ``repro``, so the last import is the one in use."""
+    for name in [m for m in sys.modules if m == "repro" or m.startswith("repro.")]:
+        del sys.modules[name]
+    importlib.import_module("repro")
+
+
+def _verify(w, problems: list) -> tuple[int, int]:
+    """Check every kept op; returns (checks made, ops found wrong)."""
+    n_checks, wrong = 0, set()
+    for index, inp, out in w.sampled():
+        for ok, what in w.checks(inp, out):
+            n_checks += 1
+            if not ok:
+                wrong.add(index)
+                problems.append(f"wrong: op {index}: {what}")
+    return n_checks, len(wrong)
 
 
 def _measure(w, seconds: float):
@@ -67,7 +93,7 @@ def _measure(w, seconds: float):
     from calib import timed
 
     samples, latencies, tail, calib = [], [], [], []
-    probe = getattr(w, "probe", None)
+    probe = w.probe
     t_end = time.perf_counter() + seconds
     while time.perf_counter() < t_end:
         try:
@@ -102,14 +128,25 @@ def _measure(w, seconds: float):
     return out, calib
 
 
+def _median_pair(pairs: list) -> tuple[float, float]:
+    return (statistics.median(c for c, _ in pairs),
+            statistics.median(r for _, r in pairs))
+
+
 def main(argv=None) -> int:
     args = _parse(argv)
     t_start = time.perf_counter()
-    _load_library()
-    import_s = time.perf_counter() - t_start
+    cold_import_s = _load_library()
 
     import numpy as np
     import scipy
+
+    from calib import timed
+
+    imports = []
+    for _ in range(SETUP_REPEATS):
+        s = timed(_reimport)[1]
+        imports.append((s.cal_s, s.raw_s))
 
     import paths as P
 
@@ -117,17 +154,21 @@ def main(argv=None) -> int:
         sys.stderr.write(f"perfbench: unknown workload {args.workload!r}; "
                          f"choose one of {sorted(P.WORKLOADS)}\n")
         return 2
-    # Raw wall time: calibrating set-up made it no steadier (README.md).
-    setups = []
-    for _ in range(SETUP_REPEATS):
-        t0 = time.perf_counter()
+
+    def build():
         inputs = P.make_inputs(args.seed)
         w = P.WORKLOADS[args.workload](inputs)
         w.setup()
-        setups.append(time.perf_counter() - t0)
-    setup_s = import_s + statistics.median(setups)
+        return inputs, w
 
-    problems = w.errors
+    setups = []
+    for _ in range(SETUP_REPEATS):
+        (inputs, w), s = timed(build)
+        setups.append((s.cal_s, s.raw_s))
+    w.instrument()
+    setup_s = tuple(a + b for a, b in zip(_median_pair(imports), _median_pair(setups)))
+
+    problems: list[str] = []
     if args.trace:
         import layers
 
@@ -139,25 +180,21 @@ def main(argv=None) -> int:
         table = {k: (metrics[k], None, counts[k]) for k in metrics}
     else:
         table, calib = _measure(w, args.seconds)
-        table["setup_s"] = (setup_s, setup_s, SETUP_REPEATS)
+        table["setup_s"] = (*setup_s, SETUP_REPEATS)
+        # printed only: the first import, other packages included (raw)
+        table["import_cold_s"] = (cold_import_s, None, 1)
         units = {"setup_s": "s", "op_p50_ms": "ms", "work_per_s": "1/s",
-                 "quote_p99_ms": "ms"}
+                 "quote_p99_ms": "ms", "import_cold_s": "s"}
+    problems += [f"raised: {e}" for e in w.errors]
 
-    checks: list[bool] = []
-
-    def check(ok: bool, what: str) -> None:
-        checks.append(ok)
-        if not ok:
-            problems.append(f"wrong: {what}")
-
-    w.verify(check)
+    n_checks, wrong = _verify(w, problems)
     loop_ms = getattr(w, "loop_ms", None)
     if args.trace and loop_ms is not None:
         # the paper's loop baseline, timed during verify
         metrics["baselines.loop_t12_ms"] = loop_ms
         table["baselines.loop_t12_ms"] = (loop_ms, None, 1)
     attempted = max(w.n, 1)
-    failed = min(len(problems), attempted)
+    failed = min(len(w.errors) + wrong, attempted)
 
     print(f"perfbench workload={args.workload} seed={args.seed} "
           f"seconds={args.seconds:g} trace={args.trace} "
@@ -174,7 +211,8 @@ def main(argv=None) -> int:
         value, raw, n = table[k]
         raw_text = "" if raw is None else f"{raw:.6g}"
         print(f"{k:<34}{value:>14.6g}{raw_text:>14}  {units[k]:<7}{n:>7}")
-    print(f"verify: checks={len(checks)} ops={attempted} failed={failed} "
+    print(f"verify: ops={attempted} sampled={len(w.sampled())} checks={n_checks} "
+          f"raised={len(w.errors)} wrong={wrong} "
           f"failed_frac={failed / attempted:.6g} "
           f"wall_s={time.perf_counter() - t_start:.1f}")
     for p in problems[:10]:

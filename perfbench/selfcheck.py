@@ -70,6 +70,7 @@ def spread(args) -> int:
             raw_text = "" if None in raw else f"  raw {quartile_spread(raw):.4f}"
             print(f"  {name:<12} median {statistics.median(value):<11.6g} spread "
                   f"calibrated {quartile_spread(value):.4f}{raw_text}")
+            print("    values " + " ".join(f"{v:.4g}" for v in value))
         sys.stdout.flush()
     return 0
 

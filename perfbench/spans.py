@@ -2,9 +2,11 @@
 
 The traced run wraps public functions and methods of ``repro`` at run
 time — nothing under ``src/`` is edited — so each call into a layer
-becomes a span ``[name, start, end, parent, root]`` kept in memory.  A
-layer's self time is its spans' duration minus the time their child
-spans cover.  The end-to-end metrics never come from a traced run.
+becomes a span of the library's own :class:`repro.obs.spans.Tracer`.
+The tracer keeps the span tree in memory and, per span name, the count,
+total time and self time (span minus its children); ``repro.obs``
+exports the tree as a Perfetto-loadable trace.  The end-to-end metrics
+never come from a traced run.
 
 Functions imported by name into another module are patched where they
 are looked up (e.g. ``price_many`` inside ``repro.risk.engine`` and
@@ -16,39 +18,21 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import time
-from collections import defaultdict
 
-NAME, START, END, PARENT, ROOT = range(5)
+from repro.obs.spans import Tracer
 
 
-class SpanRecorder:
-    """In-memory span store with a per-thread-free stack (the benchmark
-    drives every path from one thread; pool workers are other processes
-    and record nothing here)."""
+class Recorder:
+    """A :class:`Tracer` that keeps every span (the traced run resets it
+    per unit of work), plus the number of lockstep rounds driven."""
 
     def __init__(self):
-        self.spans: list[list] = []
-        self._stack: list[int] = []
-        #: (root span name, counter name) -> count
-        self.counters: dict = defaultdict(int)
-
-    def root_name(self) -> str:
-        return self.spans[self._stack[0]][NAME] if self._stack else ""
+        self.tracer = Tracer(max_children=1 << 30, max_traces=1 << 30)
+        self.rounds = 0
 
     def call(self, name: str, fn, *args, **kwargs):
-        idx = len(self.spans)
-        parent = self._stack[-1] if self._stack else -1
-        root = self._stack[0] if self._stack else idx
-        span = [name, 0.0, 0.0, parent, root]
-        self.spans.append(span)
-        self._stack.append(idx)
-        span[START] = time.perf_counter()
-        try:
+        with self.tracer.span(name):
             return fn(*args, **kwargs)
-        finally:
-            span[END] = time.perf_counter()
-            self._stack.pop()
 
     def wrap(self, name: str, fn):
         @functools.wraps(fn)
@@ -82,45 +66,18 @@ class SpanRecorder:
             counts = [0] * len(gens)
             proxied = [steps(g, counts, i) for i, g in enumerate(gens)]
             out = self.call("lockstep", fn, proxied, engine)
-            self.counters[(self.root_name(), "lockstep.rounds")] += max(
-                counts, default=0
-            )
+            self.rounds += max(counts, default=0)
             return out
 
         return drive
 
-    def clear(self) -> None:
-        self.spans.clear()
-        self.counters.clear()
+    def reset(self) -> None:
+        self.tracer.reset()
+        self.rounds = 0
 
-    def aggregate(self) -> dict:
-        """``{(root name, span name): [count, total_s, self_s]}``."""
-        child = [0.0] * len(self.spans)
-        for s in self.spans:
-            if s[PARENT] >= 0:
-                child[s[PARENT]] += s[END] - s[START]
-        out: dict = defaultdict(lambda: [0, 0.0, 0.0])
-        for s, c in zip(self.spans, child):
-            a = out[(self.spans[s[ROOT]][NAME], s[NAME])]
-            d = s[END] - s[START]
-            a[0] += 1
-            a[1] += d
-            a[2] += d - c
-        return out
-
-    def chrome_trace(self) -> dict:
-        """The spans as Chrome trace-event JSON (loadable in Perfetto)."""
-        origin = self.spans[0][START] if self.spans else 0.0
-        events = [
-            {
-                "name": s[NAME], "ph": "X", "pid": 1, "tid": 1,
-                "ts": (s[START] - origin) * 1e6,
-                "dur": (s[END] - s[START]) * 1e6,
-                "args": {"parent": s[PARENT]},
-            }
-            for s in self.spans
-        ]
-        return {"traceEvents": events, "displayTimeUnit": "ms"}
+    def breakdown(self) -> dict:
+        """``{span name: {count, total_s, self_s}}`` since the last reset."""
+        return self.tracer.phase_breakdown()
 
 
 def _targets():
@@ -159,7 +116,7 @@ def _targets():
 
 
 @contextlib.contextmanager
-def installed(recorder: SpanRecorder):
+def installed(recorder: Recorder):
     """Wrap every target for the duration of the block, then restore."""
     saved = []
     try:
