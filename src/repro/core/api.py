@@ -106,10 +106,6 @@ def check_model_method(model: str, method: str) -> None:
     (:mod:`repro.service.canonical`), so a malformed request fails at
     submission rather than deep inside a coalesced batch.
     """
-    _check_model_method(model, method)
-
-
-def _check_model_method(model: str, method: str) -> None:
     if model not in MODELS:
         raise ValidationError(f"unknown model {model!r}; choose one of {MODELS}")
     if model == "binomial":
@@ -191,7 +187,7 @@ def _lattice_price_spec(
     """The lattice backend's single-contract solve — the historical body
     of :func:`price_american`, byte-for-byte."""
     steps = check_integer("steps", steps, minimum=1)
-    _check_model_method(model, method)
+    check_model_method(model, method)
     spec = spec.with_style(Style.AMERICAN)
 
     if (
@@ -296,7 +292,7 @@ def price_european(
 ) -> PricingResult:
     """European pricing: ``fft`` = one O(T log T) jump; ``loop`` = sweep."""
     steps = check_integer("steps", steps, minimum=1)
-    _check_model_method(model, method)
+    check_model_method(model, method)
     if method not in ("fft", "loop"):
         raise ValidationError("European pricing supports methods 'fft' and 'loop'")
     spec = spec.with_style(Style.EUROPEAN)
@@ -349,7 +345,7 @@ def price_bermudan(
     steps = check_integer("steps", steps, minimum=1)
     if model == "bsm-fd":
         raise ValidationError("Bermudan exercise is not defined for the FD model")
-    _check_model_method(model, method)
+    check_model_method(model, method)
     if method not in ("fft", "loop"):
         raise ValidationError("Bermudan pricing supports methods 'fft' and 'loop'")
     spec = spec.with_style(Style.BERMUDAN)
@@ -389,9 +385,9 @@ def _batch_european_tree_fft(
     *own* lattice kernel in a single
     :meth:`~repro.core.fftstencil.AdvanceEngine.advance_batch` call — a
     scenario grid that varies volatility/rate per cell batches exactly as
-    well as a strike strip on one underlying (which used to be the only
-    batched case, via the same-kernel ``advance_many`` path).  Per-row
-    records keep each contract's method/spectrum accounting truthful.
+    well as a strike strip on one underlying (whose rows simply repeat one
+    kernel).  Per-row records keep each contract's method/spectrum
+    accounting truthful.
     """
     cls = BinomialParams if model == "binomial" else TrinomialParams
     params_list = [
@@ -563,7 +559,7 @@ def _lattice_price_batch(
     """The lattice backend's lockstep batch — the historical body of
     :func:`solve_batch`, byte-for-byte."""
     steps = check_integer("steps", steps, minimum=1)
-    _check_model_method(model, method)
+    check_model_method(model, method)
     for spec in specs:
         if spec.style is Style.BERMUDAN:
             raise ValidationError(
@@ -710,7 +706,7 @@ def price_many(
     Returns results in input order.
     """
     steps = check_integer("steps", steps, minimum=1)
-    _check_model_method(model, method)
+    check_model_method(model, method)
     # Imported lazily: repro.risk.engine imports this module.
     from repro.risk.engine import BACKENDS
 
@@ -825,7 +821,7 @@ def exercise_boundary(
     quant-finance literature (from above for calls, from below for puts).
     """
     steps = check_integer("steps", steps, minimum=1)
-    _check_model_method(model, method)
+    check_model_method(model, method)
     if method not in ("fft", "loop"):
         raise ValidationError("exercise_boundary supports methods 'fft' and 'loop'")
     if model == "bsm-fd" and spec.right is not Right.PUT:

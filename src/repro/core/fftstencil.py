@@ -18,11 +18,9 @@ kernel's forward transform across reuses (as [1] does): it caches the
 ``next_fast_len`` pad sizes, and reuses zero-padded scratch buffers.  A warm
 advance is then one forward rFFT of ``x``, one pointwise multiply, one
 inverse — versus ``fftconvolve``'s three transforms of a larger padded
-length plus a reversed-kernel copy.  :meth:`AdvanceEngine.advance_many`
-additionally stacks same-kernel advances into one batched
-``scipy.fft.rfft(axis=-1)`` call for portfolio workloads, and
-:meth:`AdvanceEngine.advance_batch` generalises that to B inputs with B
-*different* kernels — the lockstep batch solver's workhorse
+length plus a reversed-kernel copy.  :meth:`AdvanceEngine.advance_batch`
+advances B inputs, each by its own kernel (a same-kernel portfolio strip
+simply repeats one), in one call — the lockstep batch solver's workhorse
 (docs/DESIGN.md §7): rows group by padded length, multiply row-wise by a
 cached stacked kernel-spectrum block, and transform in one batched pair,
 with per-row robustness decisions and per-row accounting.
@@ -37,14 +35,12 @@ never triggers the fallback; the Y=0 all-red regime does.
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import fft as sfft
-from scipy.signal import fftconvolve
 
 from repro.core.boundary import scan_prefix_boundary
 from repro.core.weights import hstep_weights
@@ -123,49 +119,13 @@ MAX_TABLE_BYTES = 64 * (1 << 20)
 #: Measured, not documented — the bit-agreement tests re-verify it.
 MAC_STACK_MAX_KERNEL = 11
 
-#: Environment flag enabling the optional Numba fast path of
-#: :meth:`AdvanceEngine.base_rows_batch` (a compiled multiply-accumulate +
-#: divider scan over the stacked rows).  Off by default; silently falls
-#: back to the vectorised NumPy kernel when Numba is not installed — the
-#: two paths accumulate in the same order and are bit-identical.
-NUMBA_ENV_FLAG = "REPRO_NUMBA"
-
-_numba_checked = False
-_numba_mac_kernel: Optional[Callable] = None
-
-#: Shared zero-length reply for degenerate (empty-window) base rows —
-#: nothing to mutate, so one instance serves every caller.
 #: dtype singleton for the advance_batch contiguity fast path
 _F64 = np.dtype(np.float64)
 
+#: Shared zero-length reply for degenerate (empty-window) base rows —
+#: nothing to mutate, so one instance serves every caller.
 _EMPTY_ROW = np.empty(0, dtype=np.float64)
 _EMPTY_ROW.setflags(write=False)
-
-
-def _load_numba_mac() -> Optional[Callable]:
-    """Compile (once) the Numba base-row MAC kernel; None when unavailable."""
-    global _numba_checked, _numba_mac_kernel
-    if _numba_checked:
-        return _numba_mac_kernel
-    _numba_checked = True
-    try:
-        import numba
-    except Exception:
-        return None
-
-    @numba.njit(cache=False, fastmath=False)  # fastmath off: bit-identity
-    def _mac(X, tc, out):
-        G, n = out.shape
-        nt = tc.shape[1]
-        for r in range(G):
-            for j in range(n):
-                acc = tc[r, 0] * X[r, j]
-                for k in range(1, nt):
-                    acc += tc[r, k] * X[r, j + k]
-                out[r, j] = acc
-
-    _numba_mac_kernel = _mac
-    return _mac
 
 
 @dataclass
@@ -183,15 +143,14 @@ class AdvanceRecord:
 
     ``spectrum_hit`` is ``True``/``False`` when the engine's kernel-spectrum
     cache was consulted (hit/miss), ``None`` on paths that never touch it
-    (direct correlation, h=0 copies, the legacy ``fftconvolve`` path, and
-    batch rows served from a cached *spectrum block* — the block counters
-    cover those).  For batched records it is ``True`` only when every
-    consulted group hit.  ``spectrum_hits``/``spectrum_misses`` carry the
-    exact per-call counts (a batched advance consults the cache once per
-    length group — :meth:`AdvanceEngine.advance_batch` once per *distinct*
-    per-row kernel).  ``batch`` counts the inputs a single batched
-    transform carried (1 for plain advances).  ``method`` is ``"mixed"``
-    when a batch's rows resolved to different methods.
+    (direct correlation, h=0 copies, and batch rows served from a cached
+    *spectrum block* — the block counters cover those).  For batched
+    records it is ``True`` only when every consulted group hit.
+    ``spectrum_hits``/``spectrum_misses`` carry the exact per-call counts
+    (:meth:`AdvanceEngine.advance_batch` consults the cache once per
+    *distinct* per-row kernel).  ``batch`` counts the inputs a single
+    batched transform carried (1 for plain advances).  ``method`` is
+    ``"mixed"`` when a batch's rows resolved to different methods.
 
     Batched calls additionally report:
 
@@ -229,26 +188,9 @@ def _direct_correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
 #: order as the loop — so the swap is bit-identical (the bit-agreement
 #: tests pin this).  The q+1-tap kernels sit far below
 #: ``AdvancePolicy.min_fft_size``, so this mirrors exactly what
-#: ``advance_many``'s fft-vs-direct guard would choose for a 1-step row.
+#: :meth:`AdvanceEngine.advance`'s fft-vs-direct guard would choose for a
+#: 1-step row.
 row_correlate = _direct_correlate
-
-
-def _fft_correlate(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Legacy valid-mode correlation (convolve with reversed kernel).
-
-    Kept as the ``reuse=False`` reference path: it re-transforms the kernel
-    on every call, exactly the behaviour the plan cache amortises away.  The
-    old-vs-new benchmark (``benchmarks/bench_advance_engine.py``) times this
-    against the cached path.
-    """
-    return fftconvolve(x, w[::-1], mode="valid")
-
-
-def _legacy_fft_workspan(input_len: int, kernel_len: int) -> WorkSpan:
-    """Work/span of the fftconvolve path: 3 transforms of the padded length."""
-    n = sfft.next_fast_len(input_len + kernel_len - 1)
-    one_fft = fft_cost(n)
-    return WorkSpan(3.0 * one_fft.work + 2.0 * n, 3.0 * one_fft.span + 1.0)
 
 
 class AdvanceEngine:
@@ -278,42 +220,32 @@ class AdvanceEngine:
     ----------
     policy:
         FFT-vs-direct robustness policy applied per call.
-    reuse:
-        ``False`` disables every cache and routes FFT advances through the
-        legacy ``fftconvolve`` path — the exact pre-engine behaviour, kept
-        for the old-vs-new benchmark and regression comparisons.
-
-    An engine is **not thread-safe** (the scratch buffers are shared across
-    its calls); use one engine per solve/thread.  The module-level
-    :func:`advance` wrapper keeps one default engine per thread.
-    max_spectra / max_scratch / max_blocks:
+    max_spectra / max_scratch / max_blocks / max_weights:
         Bounds on the caches (oldest-first eviction); a single solve stays
         far below them, the defaults only matter for long-lived shared
         engines.  ``max_blocks`` bounds the stacked spectrum-*block* cache
         of :meth:`advance_batch` — blocks are ``(B, n_rfft)`` complex
         arrays, much larger than single spectra, so the bound is tight.
+
+    An engine is **not thread-safe** (the scratch buffers are shared across
+    its calls); use one engine per solve/thread.  The module-level
+    :func:`advance` wrapper keeps one default engine per thread.
     """
 
     def __init__(
         self,
         policy: AdvancePolicy = DEFAULT_POLICY,
         *,
-        reuse: bool = True,
         max_spectra: int = 512,
         max_scratch: int = 64,
         max_blocks: int = 16,
         max_weights: int = 4096,
-        use_numba: Optional[bool] = None,
     ):
         self.policy = policy
-        self.reuse = reuse
         self.max_spectra = max_spectra
         self.max_scratch = max_scratch
         self.max_blocks = max_blocks
         self.max_weights = max_weights
-        if use_numba is None:
-            use_numba = os.environ.get(NUMBA_ENV_FLAG, "") not in ("", "0")
-        self._numba_mac = _load_numba_mac() if use_numba else None
         #: Optional zero-arg cooperative-interrupt hook, invoked at every
         #: advance entry (see :meth:`_tick`).  The resilience tier binds a
         #: deadline here (``engine.checkpoint = deadline.checkpoint``) so a
@@ -613,149 +545,20 @@ class AdvanceEngine:
             x_max, scale if scale is not None else 0.0, kernel_len
         )
         if method == "fft":
-            if self.reuse:
-                # the kernel itself is only materialised on a spectrum miss
-                y, ws, hit = self._fft_cached(x, taps_t, h, kernel_len)
-                return y, AdvanceRecord(
-                    "fft",
-                    len(x),
-                    h,
-                    ws,
-                    spectrum_hit=hit,
-                    spectrum_hits=int(hit),
-                    spectrum_misses=int(not hit),
-                )
-            y = _fft_correlate(x, hstep_weights(taps_t, h))
+            # the kernel itself is only materialised on a spectrum miss
+            y, ws, hit = self._fft_cached(x, taps_t, h, kernel_len)
             return y, AdvanceRecord(
-                "fft", len(x), h, _legacy_fft_workspan(len(x), kernel_len)
+                "fft",
+                len(x),
+                h,
+                ws,
+                spectrum_hit=hit,
+                spectrum_hits=int(hit),
+                spectrum_misses=int(not hit),
             )
-        w = self._hstep(taps_t, h) if self.reuse else hstep_weights(taps_t, h)
-        y = _direct_correlate(x, w)
+        y = _direct_correlate(x, self._hstep(taps_t, h))
         ws = WorkSpan(2.0 * len(y) * kernel_len, np.log2(kernel_len + 1.0) + 1.0)
         return y, AdvanceRecord(method, len(x), h, ws)
-
-    def advance_many(
-        self,
-        xs: Sequence[np.ndarray],
-        taps: Sequence[float],
-        h: int,
-        *,
-        scale: float | None = None,
-    ) -> tuple[list[np.ndarray], AdvanceRecord]:
-        """Advance many inputs by the *same* ``(taps, h)`` kernel at once.
-
-        Inputs of equal length are stacked and transformed in a single
-        batched ``rfft(axis=-1)``/``irfft(axis=-1)`` pair against one cached
-        kernel spectrum — the portfolio fast path behind
-        :func:`repro.core.api.price_many`.  Mixed lengths are grouped by
-        length, and the FFT-vs-direct robustness choice is made *per
-        length group* from that group's own magnitude — one
-        outlier-magnitude input no longer forces its whole batch off the
-        FFT fast path (the aggregate record reports ``"mixed"`` when groups
-        diverge).  Returns the per-input outputs (input order preserved)
-        and one aggregate record; independent groups (and independent rows
-        on the non-stacked paths) compose in parallel (``beside``), so the
-        recorded span reflects the batch's real critical path.
-        """
-        self._tick()
-        h = check_integer("h", h, minimum=0)
-        taps_t = tuple(float(v) for v in taps)
-        q = len(taps_t) - 1
-        arrs = [np.ascontiguousarray(x, dtype=np.float64) for x in xs]
-        total = sum(len(a) for a in arrs)
-        if not arrs:
-            return [], AdvanceRecord("copy", 0, h, WorkSpan.ZERO, batch=0)
-        if h == 0:
-            self.advances += 1
-            self.batched_inputs += len(arrs)
-            return [a.copy() for a in arrs], AdvanceRecord(
-                "copy", total, 0, WorkSpan(total, 1.0), batch=len(arrs)
-            )
-        kernel_len = q * h + 1
-        for a in arrs:
-            self._validate(a, q, h)
-        scale_val = scale if scale is not None else 0.0
-        self.advances += 1
-        self.batched_inputs += len(arrs)
-
-        # Group indices by input length; one batched transform (and one
-        # FFT-vs-direct decision) per group.
-        groups: dict[int, list[int]] = {}
-        for idx, a in enumerate(arrs):
-            groups.setdefault(len(a), []).append(idx)
-        outs: list[Optional[np.ndarray]] = [None] * len(arrs)
-        ws = WorkSpan.ZERO
-        hits = misses = 0
-        consulted = False
-        methods: set[str] = set()
-        for m, idxs in groups.items():
-            g_max = max(
-                float(np.max(np.abs(arrs[i]))) if len(arrs[i]) else 0.0
-                for i in idxs
-            )
-            g_method = self.policy.choose(g_max, scale_val, kernel_len)
-            methods.add(g_method)
-            if g_method != "fft":
-                w = self._hstep(taps_t, h) if self.reuse else hstep_weights(taps_t, h)
-                g_ws = WorkSpan.ZERO
-                for i in idxs:
-                    y = _direct_correlate(arrs[i], w)
-                    outs[i] = y
-                    g_ws = g_ws.beside(
-                        WorkSpan(
-                            2.0 * len(y) * kernel_len,
-                            np.log2(kernel_len + 1.0) + 1.0,
-                        )
-                    )
-                ws = ws.beside(g_ws)
-                continue
-            if not self.reuse:
-                # Legacy fftconvolve per row; the rows are independent, so
-                # the record composes them in parallel (beside) — the same
-                # critical-path accounting the cached stacked path reports.
-                w = hstep_weights(taps_t, h)
-                g_ws = WorkSpan.ZERO
-                for i in idxs:
-                    outs[i] = _fft_correlate(arrs[i], w)
-                    g_ws = g_ws.beside(_legacy_fft_workspan(m, kernel_len))
-                ws = ws.beside(g_ws)
-                continue
-            consulted = True
-            n = self.fast_len(m)
-            spec, hit = self._kernel_spectrum(taps_t, h, n)
-            if hit:
-                hits += 1
-            else:
-                misses += 1
-            stack = np.zeros((len(idxs), n), dtype=np.float64)
-            for r, idx in enumerate(idxs):
-                stack[r, :m] = arrs[idx]
-            X = sfft.rfft(stack, axis=-1)
-            X *= spec
-            Y = sfft.irfft(X, n=n, axis=-1)
-            out_len = m - kernel_len + 1
-            for r, idx in enumerate(idxs):
-                outs[idx] = Y[r, :out_len].copy()
-            one_fft = fft_cost(n)
-            transforms = 2.0 * len(idxs) + (0.0 if hit else 1.0)
-            # batched rows transform independently: critical path is one
-            # forward/inverse pair (plus the kernel transform on a miss)
-            ws = ws.beside(
-                WorkSpan(
-                    transforms * one_fft.work + 2.0 * n * len(idxs),
-                    (2.0 if hit else 3.0) * one_fft.span + 1.0,
-                )
-            )
-        return list(outs), AdvanceRecord(  # type: ignore[arg-type]
-            methods.pop() if len(methods) == 1 else "mixed",
-            total,
-            h,
-            ws,
-            spectrum_hit=(misses == 0) if consulted else None,
-            spectrum_hits=hits,
-            spectrum_misses=misses,
-            batch=len(arrs),
-        )
 
     def _spectrum_block(
         self, keys: Sequence[tuple]
@@ -818,12 +621,12 @@ class AdvanceEngine:
     ) -> tuple[list[np.ndarray], AdvanceRecord]:
         """Advance B inputs, each by its **own** ``(taps, h)`` kernel, at once.
 
-        The multi-kernel generalisation of :meth:`advance_many` and the
-        workhorse of the lockstep batch solver
+        The workhorse of the lockstep batch solver
         (:func:`repro.core.lockstep.drive_lockstep`): scenario grids,
         implied-vol ladders and Greek bump grids vary volatility/rate per
-        cell, so every cell carries a *different* kernel and the same-kernel
-        fast path never applies.  Here rows are grouped by padded FFT
+        cell, so every cell carries a *different* kernel; a same-kernel
+        portfolio strip is the special case of one kernel repeated (its
+        rows share one spectrum consult).  Rows are grouped by padded FFT
         length, each group is stacked into one ``(G, n)`` array, multiplied
         row-wise by a stacked ``(G, n_rfft)`` kernel-spectrum block (cached
         whole — see :meth:`_spectrum_block`), and transformed with a single
@@ -891,15 +694,14 @@ class AdvanceEngine:
         self.batch_advances += 1
         if self.telemetry is not None:
             self._h_batch_rows.observe(B)
-        if self.reuse:
-            # Lockstep interleaving destroys the per-solve temporal locality
-            # the default spectrum bound assumes: B solves' kernels repeat
-            # with a reuse distance of ~B x (distinct kernels per solve).
-            # Scale the entry bound with the batch width; MAX_SPECTRA_BYTES
-            # still caps the memory.  The direct-path kernel cache reuses
-            # with the same distance, so its bound scales alongside.
-            self.max_spectra = max(self.max_spectra, 8 * B)
-            self.max_weights = max(self.max_weights, 32 * B)
+        # Lockstep interleaving destroys the per-solve temporal locality
+        # the default spectrum bound assumes: B solves' kernels repeat
+        # with a reuse distance of ~B x (distinct kernels per solve).
+        # Scale the entry bound with the batch width; MAX_SPECTRA_BYTES
+        # still caps the memory.  The direct-path kernel cache reuses
+        # with the same distance, so its bound scales alongside.
+        self.max_spectra = max(self.max_spectra, 8 * B)
+        self.max_weights = max(self.max_weights, 32 * B)
 
         rows: list[Optional[AdvanceRecord]] = [None] * B
         outs: list[Optional[np.ndarray]] = [None] * B
@@ -942,27 +744,8 @@ class AdvanceEngine:
                 x_max = float(np.max(np.abs(a))) if len(a) else 0.0
                 method = pol.choose(x_max, scale_list[i], kernel_len)
             if method != "fft":
-                if self.reuse:
-                    # stacked below — direct rows dominate trapezoid batches
-                    direct_groups.setdefault(kernel_len, []).append(i)
-                    continue
-                w = hstep_weights(taps_t, h)
-                y = _direct_correlate(a, w)
-                outs[i] = y
-                rows[i] = AdvanceRecord(
-                    "direct", len(a), h,
-                    WorkSpan(
-                        2.0 * len(y) * kernel_len,
-                        np.log2(kernel_len + 1.0) + 1.0,
-                    ),
-                )
-                continue
-            if not self.reuse:
-                w = hstep_weights(taps_t, h)
-                outs[i] = _fft_correlate(a, w)
-                rows[i] = AdvanceRecord(
-                    "fft", len(a), h, _legacy_fft_workspan(len(a), kernel_len)
-                )
+                # stacked below — direct rows dominate trapezoid batches
+                direct_groups.setdefault(kernel_len, []).append(i)
                 continue
             fft_groups.setdefault(self.fast_len(len(a)), []).append(i)
 
@@ -1325,7 +1108,6 @@ class AdvanceEngine:
                 g[9].append(0)
 
         total_cells = 0
-        numba_mac = self._numba_mac
         for key, g in groups.items():
             idxs = g[0]
             G = len(idxs)
@@ -1460,13 +1242,9 @@ class AdvanceEngine:
                 else:
                     tc = np.concatenate(tlist).reshape(G, nt)
                     self._tc_cache[key] = (tlist, tc)
-                if numba_mac is not None:
-                    cont = np.empty((G, n), dtype=np.float64)
-                    numba_mac(X, tc, cont)
-                else:
-                    cont = tc[:, 0:1] * X[:, :n]
-                    for k in range(1, nt):
-                        cont += tc[:, k : k + 1] * X[:, k : k + n]
+                cont = tc[:, 0:1] * X[:, :n]
+                for k in range(1, nt):
+                    cont += tc[:, k : k + 1] * X[:, k : k + n]
             # replies are views of the group matrices — each lives only until
             # its solver's next request replaces it, so no per-row copies.
             # The divider scan appends a False sentinel column before the
@@ -1612,21 +1390,3 @@ def advance(
         engine = _default_engine() if policy is DEFAULT_POLICY else AdvanceEngine(policy)
     return engine.advance(x, taps, h, scale=scale)
 
-
-def advance_full_row(
-    x: np.ndarray,
-    taps: Sequence[float],
-    h: int,
-    *,
-    scale: float | None = None,
-    policy: AdvancePolicy = DEFAULT_POLICY,
-    engine: Optional[AdvanceEngine] = None,
-) -> tuple[np.ndarray, AdvanceRecord]:
-    """Alias of :func:`advance` named for the Bermudan/European jump use-case.
-
-    On tree grids a full row ``i+h`` (width ``q*(i+h)+1``) advanced ``h``
-    steps yields exactly the full row ``i`` (width ``q*i+1``), because the
-    valid-mode output shrinks by ``q*h`` — no padding or boundary conditions
-    are ever needed inside the lattice triangle.
-    """
-    return advance(x, taps, h, scale=scale, policy=policy, engine=engine)

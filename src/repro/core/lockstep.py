@@ -37,7 +37,8 @@ from typing import Generator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.fftstencil import AdvanceEngine, AdvanceRecord
+from repro.core.fftstencil import AdvanceEngine
+from repro.obs.spans import NULL_SPAN
 
 #: What a solver generator yields: one linear advance it cannot proceed
 #: without.  ``scale`` feeds the engine's FFT-vs-direct robustness guard.
@@ -183,119 +184,85 @@ def drive_lockstep(gens: Sequence[SolverGen], engine: AdvanceEngine) -> list:
     rows).  Generators finish at their own pace (their recursion shapes
     differ with the divider data); the batches simply narrow as they do.
     Results come back in input order.
+
+    Telemetry rides on the engine (one handle instruments every solve).
+    When it is attached, the solve runs in a ``solve`` span whose rounds
+    each open a ``lockstep_round`` span with ``advance_batch`` /
+    ``base_rows_batch`` children recording batch widths, and every round
+    width lands in the ``lockstep_round_width`` histogram.  The engine
+    call sequence is the same either way, so results stay bit-identical
+    with telemetry on; disabled, a round pays one ``is None`` test.
     """
-    # Telemetry rides on the engine (one handle instruments every solve);
-    # disabled mode costs this single attribute read, and the enabled-mode
-    # spans are per *round*, never per row, so tracing a B-wide solve adds
-    # a constant handful of allocations per batched transform.
     tel = engine.telemetry
+    base_batch = engine.base_rows_batch
+    adv_batch = engine.advance_batch
+    solve = NULL_SPAN
     if tel is not None:
-        with tel.span("solve", solvers=len(gens)) as sp:
-            results = _drive_lockstep_traced(gens, engine, tel, sp)
-        return results
-    results: list = [None] * len(gens)
-    sends = [gen.send for gen in gens]  # bound once: ~rows x sends later
-    live: dict[int, SolverRequest] = {}
-    for i, gen in enumerate(gens):
-        try:
-            live[i] = next(gen)
-        except StopIteration as stop:  # solved without a single advance
-            results[i] = stop.value
-    while live:
-        base_is: list[int] = []
-        base_reqs: list[BaseRowRequest] = []
-        adv_is: list[int] = []
-        adv_xs: list[np.ndarray] = []
-        adv_kers: list[Tuple[Tuple[float, ...], int]] = []
-        adv_scales: list[Optional[float]] = []
-        for i, req in live.items():
-            if type(req) is BaseRowRequest:
-                base_is.append(i)
-                base_reqs.append(req)
-            else:
-                adv_is.append(i)
-                adv_xs.append(req.x)
-                adv_kers.append((req.taps, req.h))
-                adv_scales.append(req.scale)
-        if base_is:
-            outs, divs, _ = engine.base_rows_batch(base_reqs)
-            for i, y, d in zip(base_is, outs, divs):
-                try:
-                    live[i] = sends[i]((y, d))
-                except StopIteration as stop:
-                    results[i] = stop.value
-                    del live[i]
-        if adv_is:
-            a_outs, rec = engine.advance_batch(
-                adv_xs, adv_kers, scales=adv_scales
-            )
-            for i, y, row_rec in zip(adv_is, a_outs, rec.rows):
-                try:
-                    live[i] = sends[i]((y, row_rec))
-                except StopIteration as stop:
-                    results[i] = stop.value
-                    del live[i]
+
+        def base_batch(reqs):
+            with tel.span("base_rows_batch", rows=len(reqs)):
+                return engine.base_rows_batch(reqs)
+
+        def adv_batch(xs, kers, *, scales):
+            with tel.span("advance_batch", rows=len(xs)):
+                return engine.advance_batch(xs, kers, scales=scales)
+
+        h_round = tel.histogram(
+            "lockstep_round_width", help="live solvers per lockstep round"
+        )
+        solve = tel.span("solve", solvers=len(gens))
+    with solve as sp:
+        results: list = [None] * len(gens)
+        sends = [gen.send for gen in gens]  # bound once: ~rows x sends later
+        live: dict[int, SolverRequest] = {}
+        for i, gen in enumerate(gens):
+            try:
+                live[i] = next(gen)
+            except StopIteration as stop:  # solved without a single advance
+                results[i] = stop.value
+        rounds = 0
+        while live:
+            if tel is None:
+                _round(live, sends, results, base_batch, adv_batch)
+                continue
+            rounds += 1
+            h_round.observe(len(live))
+            with tel.span("lockstep_round", live=len(live)):
+                _round(live, sends, results, base_batch, adv_batch)
+        sp.set(rounds=rounds)
     return results
 
 
-def _drive_lockstep_traced(gens, engine, tel, solve_span) -> list:
-    """The traced twin of :func:`drive_lockstep`'s round loop.
-
-    Identical engine call sequence (so results stay bit-identical with
-    telemetry on — the integration tests pin this); each round opens a
-    ``lockstep_round`` span with ``advance_batch`` / ``base_rows_batch``
-    children recording batch widths.
-    """
-    results: list = [None] * len(gens)
-    sends = [gen.send for gen in gens]
-    live: dict[int, SolverRequest] = {}
-    for i, gen in enumerate(gens):
-        try:
-            live[i] = next(gen)
-        except StopIteration as stop:
-            results[i] = stop.value
-    rounds = 0
-    h_round = tel.histogram(
-        "lockstep_round_width", help="live solvers per lockstep round"
-    )
-    while live:
-        rounds += 1
-        h_round.observe(len(live))
-        with tel.span("lockstep_round", live=len(live)):
-            base_is: list[int] = []
-            base_reqs: list[BaseRowRequest] = []
-            adv_is: list[int] = []
-            adv_xs: list[np.ndarray] = []
-            adv_kers: list[Tuple[Tuple[float, ...], int]] = []
-            adv_scales: list[Optional[float]] = []
-            for i, req in live.items():
-                if type(req) is BaseRowRequest:
-                    base_is.append(i)
-                    base_reqs.append(req)
-                else:
-                    adv_is.append(i)
-                    adv_xs.append(req.x)
-                    adv_kers.append((req.taps, req.h))
-                    adv_scales.append(req.scale)
-            if base_is:
-                with tel.span("base_rows_batch", rows=len(base_is)):
-                    outs, divs, _ = engine.base_rows_batch(base_reqs)
-                for i, y, d in zip(base_is, outs, divs):
-                    try:
-                        live[i] = sends[i]((y, d))
-                    except StopIteration as stop:
-                        results[i] = stop.value
-                        del live[i]
-            if adv_is:
-                with tel.span("advance_batch", rows=len(adv_is)):
-                    a_outs, rec = engine.advance_batch(
-                        adv_xs, adv_kers, scales=adv_scales
-                    )
-                for i, y, row_rec in zip(adv_is, a_outs, rec.rows):
-                    try:
-                        live[i] = sends[i]((y, row_rec))
-                    except StopIteration as stop:
-                        results[i] = stop.value
-                        del live[i]
-    solve_span.set(rounds=rounds)
-    return results
+def _round(live, sends, results, base_batch, adv_batch) -> None:
+    """One lockstep round: batch every live request by kind and reply."""
+    base_is: list[int] = []
+    base_reqs: list[BaseRowRequest] = []
+    adv_is: list[int] = []
+    adv_xs: list[np.ndarray] = []
+    adv_kers: list[Tuple[Tuple[float, ...], int]] = []
+    adv_scales: list[Optional[float]] = []
+    for i, req in live.items():
+        if type(req) is BaseRowRequest:
+            base_is.append(i)
+            base_reqs.append(req)
+        else:
+            adv_is.append(i)
+            adv_xs.append(req.x)
+            adv_kers.append((req.taps, req.h))
+            adv_scales.append(req.scale)
+    if base_is:
+        outs, divs, _ = base_batch(base_reqs)
+        for i, y, d in zip(base_is, outs, divs):
+            try:
+                live[i] = sends[i]((y, d))
+            except StopIteration as stop:
+                results[i] = stop.value
+                del live[i]
+    if adv_is:
+        a_outs, rec = adv_batch(adv_xs, adv_kers, scales=adv_scales)
+        for i, y, row_rec in zip(adv_is, a_outs, rec.rows):
+            try:
+                live[i] = sends[i]((y, row_rec))
+            except StopIteration as stop:
+                results[i] = stop.value
+                del live[i]

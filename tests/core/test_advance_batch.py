@@ -158,17 +158,6 @@ class TestBlockCache:
 
 
 class TestLegacyAndValidation:
-    def test_reuse_false_matches_legacy_per_row(self):
-        rng = np.random.default_rng(4)
-        xs = [rng.uniform(0.0, 10.0, size=260) for _ in range(3)]
-        kernels = [(TAPS_A, 50), (TAPS_B, 45), (TAPS_C, 60)]
-        legacy = AdvanceEngine(reuse=False)
-        outs, rec = legacy.advance_batch(xs, kernels)
-        assert rec.block_misses == 0 and rec.spectrum_misses == 0
-        for x, (taps, h), y in zip(xs, kernels, outs):
-            y_ref, _ = AdvanceEngine().advance(x, taps, h)
-            np.testing.assert_allclose(y, y_ref, rtol=1e-10, atol=1e-10)
-
     def test_kernel_count_mismatch(self):
         with pytest.raises(ValidationError, match="one kernel per input"):
             AdvanceEngine().advance_batch([np.ones(50)], [])
@@ -185,17 +174,21 @@ class TestLegacyAndValidation:
 
 
 class TestAdvanceManyPerGroup:
-    """Satellite regression: advance_many chooses fft-vs-direct per group."""
+    """Same-kernel batches (one kernel repeated per row) decide
+    fft-vs-direct per row: an outlier never drags its siblings off FFT."""
 
     def test_outlier_group_does_not_poison_the_batch(self):
         rng = np.random.default_rng(12)
         normal = [rng.uniform(0.0, 100.0, size=300) for _ in range(3)]
         outlier = rng.uniform(0.0, 1e18, size=450)
         engine = AdvanceEngine()
-        ys, rec = engine.advance_many(normal + [outlier], TAPS_A, 60, scale=100.0)
-        # the normal group still consulted the spectrum cache (fft path) …
+        ys, rec = engine.advance_batch(
+            normal + [outlier], [(TAPS_A, 60)] * 4, scales=100.0
+        )
+        # the normal rows still consulted the spectrum cache (fft path) …
         assert rec.spectrum_hits + rec.spectrum_misses == 1
         assert rec.method == "mixed"
+        assert [r.method for r in rec.rows] == ["fft"] * 3 + ["direct"]
         # … and its outputs are the FFT outputs, bit for bit
         for x, y in zip(normal, ys[:3]):
             y_fft, _ = AdvanceEngine(AdvancePolicy(mode="fft")).advance(
@@ -211,16 +204,8 @@ class TestAdvanceManyPerGroup:
     def test_uniform_batch_record_unchanged(self):
         rng = np.random.default_rng(13)
         xs = [rng.uniform(0.0, 1.0, size=300) for _ in range(4)]
-        _, rec = AdvanceEngine().advance_many(xs, TAPS_A, 60, scale=1.0)
+        _, rec = AdvanceEngine().advance_batch(
+            xs, [(TAPS_A, 60)] * 4, scales=1.0
+        )
         assert rec.method == "fft" and rec.spectrum_hit is False
         assert rec.batch == 4
-
-    def test_legacy_loop_spans_compose_in_parallel(self):
-        """reuse=False workspan: independent rows must not chain spans."""
-        rng = np.random.default_rng(14)
-        xs = [rng.uniform(0.0, 1.0, size=300) for _ in range(4)]
-        legacy = AdvanceEngine(reuse=False)
-        _, one = legacy.advance_many(xs[:1], TAPS_A, 60)
-        _, four = legacy.advance_many(xs, TAPS_A, 60)
-        assert four.workspan.work == pytest.approx(4.0 * one.workspan.work)
-        assert four.workspan.span == pytest.approx(one.workspan.span)

@@ -32,21 +32,19 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("taps", [TAPS_2, TAPS_3])
     @pytest.mark.parametrize("h", [2, 7, 33])
     def test_matches_legacy_advance(self, mode, taps, h):
-        """Engine output == stateless advance() == fftconvolve reference."""
+        """Engine output == stateless advance() == naive per-step reference."""
         rng = np.random.default_rng(7)
         x = rng.uniform(0, 100.0, size=(len(taps) - 1) * h + 41)
         policy = AdvancePolicy(mode=mode)
         engine = AdvanceEngine(policy)
-        legacy = AdvanceEngine(policy, reuse=False)
         y_eng, rec_eng = engine.advance(x, taps, h, scale=100.0)
         y_fn, rec_fn = advance(x, taps, h, scale=100.0, policy=policy)
-        y_old, rec_old = legacy.advance(x, taps, h, scale=100.0)
         ref = naive_steps(x, taps, h)
-        for y in (y_eng, y_fn, y_old):
+        for y in (y_eng, y_fn):
             np.testing.assert_allclose(y, ref, rtol=1e-9, atol=1e-9)
-        assert rec_eng.method == rec_fn.method == rec_old.method
-        # the legacy fftconvolve path never consults the spectrum cache
-        assert rec_old.spectrum_hit is None
+        assert rec_eng.method == rec_fn.method
+        # only the FFT path consults the spectrum cache
+        assert (rec_eng.spectrum_hit is None) == (rec_eng.method != "fft")
 
     @pytest.mark.parametrize("taps", [TAPS_2, TAPS_3])
     def test_h0_is_independent_copy(self, taps):
@@ -80,6 +78,8 @@ class TestEngineEquivalence:
 
 
 class TestAdvanceMany:
+    """Same-kernel batches: ``advance_batch`` with one kernel repeated."""
+
     @pytest.mark.parametrize("mode", ["auto", "fft", "direct"])
     def test_batched_matches_sequential(self, mode):
         """Mixed lengths; batched outputs == per-input engine advances."""
@@ -90,24 +90,29 @@ class TestAdvanceMany:
             for n in (2 * h + 1, 2 * h + 1, 3 * h + 7, 2 * h + 1, 5 * h)
         ]
         policy = AdvancePolicy(mode=mode)
-        ys, rec = AdvanceEngine(policy).advance_many(xs, TAPS_3, h, scale=50.0)
+        ys, rec = AdvanceEngine(policy).advance_batch(
+            xs, [(TAPS_3, h)] * len(xs), scales=50.0
+        )
         assert rec.batch == len(xs)
         for x, y in zip(xs, ys):
             y_ref, _ = AdvanceEngine(policy).advance(x, TAPS_3, h, scale=50.0)
-            np.testing.assert_allclose(y, y_ref, rtol=1e-10, atol=1e-10)
+            np.testing.assert_array_equal(y, y_ref)
 
     def test_h0_and_empty(self):
         engine = AdvanceEngine()
-        ys, rec = engine.advance_many([np.ones(4), np.zeros(6)], TAPS_2, 0)
+        xs = [np.ones(4), np.zeros(6)]
+        ys, rec = engine.advance_batch(xs, [(TAPS_2, 0)] * 2)
         assert [len(y) for y in ys] == [4, 6] and rec.method == "copy"
-        ys, rec = engine.advance_many([], TAPS_2, 5)
+        ys[0][0] = 5.0
+        assert xs[0][0] == 1.0  # copies, not views
+        ys, rec = engine.advance_batch([], [])
         assert ys == [] and rec.batch == 0
 
     def test_same_length_inputs_share_one_spectrum(self):
         rng = np.random.default_rng(2)
         engine = AdvanceEngine(AdvancePolicy(mode="fft"))
         xs = [rng.uniform(0, 1.0, size=300) for _ in range(8)]
-        engine.advance_many(xs, TAPS_2, 60)
+        engine.advance_batch(xs, [(TAPS_2, 60)] * 8)
         info = engine.cache_info()
         assert info["spectrum_misses"] == 1
         assert info["batched_inputs"] == 8
@@ -118,10 +123,11 @@ class TestAdvanceMany:
         engine = AdvanceEngine(AdvancePolicy(mode="fft"))
         engine.advance(rng.uniform(0, 1.0, size=300), TAPS_2, 60)  # warm len 300
         xs = [rng.uniform(0, 1.0, size=n) for n in (300, 300, 450)]
-        _, rec = engine.advance_many(xs, TAPS_2, 60)
+        kernels = [(TAPS_2, 60)] * 3
+        _, rec = engine.advance_batch(xs, kernels)
         assert rec.spectrum_hits == 1 and rec.spectrum_misses == 1
         assert rec.spectrum_hit is False  # one group missed
-        _, rec2 = engine.advance_many(xs, TAPS_2, 60)
+        _, rec2 = engine.advance_batch(xs, kernels)
         assert rec2.spectrum_hit is True and rec2.spectrum_misses == 0
 
 
@@ -140,9 +146,10 @@ class TestEngineInSolvers:
     @pytest.mark.parametrize("T", [512, 1023])
     @pytest.mark.parametrize("cls", [BinomialParams, TrinomialParams])
     def test_engine_price_matches_legacy_solver(self, T, cls):
-        params = cls.from_spec(SPEC, T)
-        new = solve_tree_fft(params, engine=AdvanceEngine())
-        old = solve_tree_fft(params, engine=AdvanceEngine(reuse=False))
+        """The cached-plan FFT solve agrees with the paper's loop baseline."""
+        model = "binomial" if cls is BinomialParams else "trinomial"
+        new = solve_tree_fft(cls.from_spec(SPEC, T), engine=AdvanceEngine())
+        old = price_american(SPEC, T, model=model, method="loop")
         assert new.price == pytest.approx(old.price, rel=1e-10)
 
     def test_shared_engine_across_solves(self):

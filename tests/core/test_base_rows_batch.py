@@ -15,9 +15,7 @@ with :meth:`~repro.core.fftstencil.AdvanceEngine.base_rows_batch`
   ``keep="max"``/``scan=False`` rows, empty windows;
 * the consolidation counters (``base_batch_calls``/``base_batch_rows``/
   ``base_block_hits``/``base_block_misses``) measure what the docstrings
-  promise, pinned exactly for synchronized batches;
-* the Numba fast-path flag degrades silently to the NumPy kernel when
-  ``numba`` is absent (this container never ships it).
+  promise, pinned exactly for synchronized batches.
 """
 
 import dataclasses
@@ -35,7 +33,6 @@ from repro.core.boundary import scan_prefix_boundary
 from repro.core.bsm_solver import solve_bsm_fft, solve_bsm_fft_batch
 from repro.core.fftstencil import (
     MAC_STACK_MAX_KERNEL,
-    NUMBA_ENV_FLAG,
     AdvanceEngine,
 )
 from repro.core.lockstep import BaseRowRequest
@@ -363,39 +360,6 @@ class TestCounters:
         r = solve_tree_fft(BinomialParams.from_spec(SPEC, 48))
         assert r.stats.base_batch_rows == 0
         assert r.stats.base_rows > 0
-
-
-class TestNumbaFallback:
-    """No numba in this container: every spelling of "fast path on" must
-    degrade silently to the NumPy kernel with identical results."""
-
-    def test_numba_absent(self):
-        try:
-            import numba  # noqa: F401
-            pytest.skip("container unexpectedly ships numba")
-        except ImportError:
-            pass
-
-    @pytest.mark.parametrize("how", ["kwarg", "env"])
-    def test_flag_on_without_numba_is_silent_and_identical(
-        self, how, monkeypatch
-    ):
-        if how == "env":
-            monkeypatch.setenv(NUMBA_ENV_FLAG, "1")
-            engine = AdvanceEngine()
-        else:
-            monkeypatch.delenv(NUMBA_ENV_FLAG, raising=False)
-            engine = AdvanceEngine(use_numba=True)
-        plist = [BinomialParams.from_spec(_strike(k), 48)
-                 for k in (95.0, 105.0)]
-        flagged = solve_tree_fft_batch(plist, engine=engine)
-        plain = solve_tree_fft_batch(plist, engine=AdvanceEngine())
-        assert [r.price for r in flagged] == [r.price for r in plain]
-
-    def test_env_flag_off_values(self, monkeypatch):
-        for off in ("", "0"):
-            monkeypatch.setenv(NUMBA_ENV_FLAG, off)
-            assert AdvanceEngine()._numba_mac is None
 
 
 class TestBermudanBatch:
